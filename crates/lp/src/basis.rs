@@ -25,7 +25,8 @@
 //! * [`ForrestTomlinLu`] — a **Markowitz-ordered** LU (choose the pivot
 //!   minimizing the fill bound `(r−1)(c−1)` among entries passing the
 //!   relative threshold `|B_pq| ≥ 0.1 · max_p |B_pq|`, with explicit row
-//!   *and* column permutations) combined with genuine **Forrest–Tomlin
+//!   *and* column permutations; the triangular part of the basis is peeled
+//!   off first, see below) combined with genuine **Forrest–Tomlin
 //!   updates of `U`**: a basis change replaces one column of `U` by the
 //!   spike `s = U·w` (free from the pivot FTRAN image `w = B⁻¹ a_e`), moves
 //!   that column last in the triangular order, and eliminates the displaced
@@ -41,6 +42,30 @@
 //! Which factorization runs is chosen by [`BasisKind`] in
 //! [`crate::simplex::SimplexOptions`]; the property tests solve every
 //! pricing × basis combination against the dense oracle ([`crate::dense`]).
+//!
+//! ## The Forrest–Tomlin rebuild: peel, then Markowitz on the bump
+//!
+//! A refactorization picks its `m` pivots in the order of Suhl & Suhl's
+//! triangularize-then-Markowitz LU. Each step takes the first that applies:
+//!
+//! 1. a **column singleton** — an active column with one active entry. That
+//!    entry is its column's maximum, so it always passes the threshold, and
+//!    pivoting on it adds no fill and no `L` entries;
+//! 2. a **row singleton** — an active row with one active entry, taken only
+//!    if it passes the threshold. It adds no fill;
+//! 3. the **Markowitz search** on what is left (the *bump*): up to eight
+//!    columns of minimum active count are searched for the cheapest stable
+//!    entry. The search scans all active columns only when every one of
+//!    those columns is numerically empty.
+//!
+//! Active columns sit in doubly linked buckets by active count. Bucket 1
+//! holds the column singletons, the lowest nonempty bucket holds the
+//! Markowitz candidates, and a count change is an `O(1)` relink. Row
+//! singletons come from a worklist fed wherever a row's count drops to one.
+//! A rebuild therefore costs `O(nnz(B))` for the triangular part plus the
+//! elimination work inside the bump, never an `O(m)` scan per pivot. Auction
+//! bases are slacks plus near-triangular bundle columns, so almost every
+//! pivot is a singleton.
 //!
 //! ## The Forrest–Tomlin update in formulas
 //!
@@ -1331,11 +1356,15 @@ struct RowEta {
 
 /// Markowitz-ordered sparse LU factors with Forrest–Tomlin `U`-updates.
 ///
-/// The factorization pivots on `(row, column)` pairs chosen to minimize the
-/// Markowitz fill bound `(r−1)(c−1)` among entries passing a relative
-/// stability threshold, storing the row permutation in `prow` and the
-/// column permutation in `slot_of_uid` (`uid` = factorization step, the
-/// *stable* identity of a `U` column across updates). Updates follow the
+/// A rebuild first peels the triangular part of the basis off with column
+/// and row singletons, then runs a bucketed Markowitz search on the
+/// remaining bump only (see the module docs), for `O(nnz(B))` plus the
+/// bump's elimination work. The bump's pivots are `(row, column)` pairs
+/// chosen to minimize the Markowitz fill bound `(r−1)(c−1)` among entries
+/// passing a relative stability threshold. The row permutation is stored
+/// in `prow` and the column permutation in `slot_of_uid` (`uid` =
+/// factorization step, the *stable* identity of a `U` column across
+/// updates). Updates follow the
 /// classic Forrest–Tomlin scheme (see the module docs): the spike column
 /// `s = U·w` replaces column `t`, the displaced row is eliminated by a
 /// short row eta, and `U` stays triangular in the explicit `order` / `pos`
@@ -1388,6 +1417,10 @@ pub struct ForrestTomlinLu {
     sp_support: std::cell::RefCell<Vec<usize>>,
     /// Hyper-sparse solve counters (monotone over the lifetime).
     counters: SparsityCounters,
+    /// Bucketed Markowitz searches the last rebuild ran; every other pivot
+    /// was a peeled singleton.
+    #[cfg(test)]
+    markowitz_searches: usize,
 }
 
 impl ForrestTomlinLu {
@@ -1769,218 +1802,24 @@ impl BasisFactorization for ForrestTomlinLu {
         self.urows.clear();
         self.slot_of_uid.clear();
 
-        // Active-submatrix storage: rows hold (column, value) sorted by
-        // column; columns hold candidate row lists with lazy deletion
-        // (entries are validated against the row storage before use).
-        let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); m];
-        for (c, col) in cols.iter().enumerate() {
-            for &(r, v) in col {
-                if v != 0.0 {
-                    rows[r].push((c, v));
-                }
-            }
-        }
-        let mut col_rows: Vec<Vec<usize>> = vec![Vec::new(); m];
-        let mut col_count = vec![0usize; m];
-        let mut row_count = vec![0usize; m];
-        for (r, row) in rows.iter_mut().enumerate() {
-            row.sort_unstable_by_key(|e| e.0);
-            // collapse duplicate column entries
-            let mut out: Vec<(usize, f64)> = Vec::with_capacity(row.len());
-            for &(c, v) in row.iter() {
-                match out.last_mut() {
-                    Some(last) if last.0 == c => last.1 += v,
-                    _ => out.push((c, v)),
-                }
-            }
-            out.retain(|&(_, v)| v != 0.0);
-            for &(c, _) in &out {
-                col_rows[c].push(r);
-                col_count[c] += 1;
-            }
-            row_count[r] = out.len();
-            *row = out;
-        }
-        let mut active_row = vec![true; m];
-        let mut active_col = vec![true; m];
-        let mut active_cols: Vec<usize> = (0..m).collect();
-
-        // Looks up the value of column `c` in row `r` (rows stay sorted).
-        let value_in = |rows: &[Vec<(usize, f64)>], r: usize, c: usize| -> Option<f64> {
-            rows[r]
-                .binary_search_by_key(&c, |e| e.0)
-                .ok()
-                .map(|idx| rows[r][idx].1)
-        };
-
-        // Best stable pivot inside column `c`: minimize (r−1)(c−1) among
-        // entries within PIVOT_THRESHOLD of the column max.
-        let best_in_col = |rows: &[Vec<(usize, f64)>],
-                           col_rows: &[Vec<usize>],
-                           active_row: &[bool],
-                           row_count: &[usize],
-                           col_count: &[usize],
-                           c: usize|
-         -> Option<(usize, f64, usize)> {
-            let mut colmax = 0.0f64;
-            for &r in &col_rows[c] {
-                if active_row[r] {
-                    if let Some(v) = value_in(rows, r, c) {
-                        colmax = colmax.max(v.abs());
-                    }
-                }
-            }
-            if colmax <= Self::SINGULAR_TOL {
-                return None;
-            }
-            let floor = (Self::PIVOT_THRESHOLD * colmax).max(Self::SINGULAR_TOL);
-            let mut best: Option<(usize, f64, usize)> = None;
-            for &r in &col_rows[c] {
-                if !active_row[r] {
-                    continue;
-                }
-                let Some(v) = value_in(rows, r, c) else {
-                    continue;
-                };
-                if v.abs() < floor {
-                    continue;
-                }
-                let cost = (row_count[r] - 1) * (col_count[c] - 1);
-                let better = match best {
-                    None => true,
-                    Some((_, bv, bc)) => cost < bc || (cost == bc && v.abs() > bv.abs()),
-                };
-                if better {
-                    best = Some((r, v, cost));
-                }
-            }
-            best
-        };
-
+        let mut active = ActiveSubmatrix::new(m, cols);
+        let mut searches = 0usize;
         let mut pending_urows: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
         for _ in 0..m {
-            // --- Markowitz pivot search ---
-            active_cols.retain(|&c| active_col[c]);
-            let mut min_cnt = usize::MAX;
-            let mut cand: Vec<usize> = Vec::with_capacity(Self::SEARCH_COLS);
-            for &c in &active_cols {
-                let cc = col_count[c];
-                if cc == 0 {
-                    self.reset_to_empty();
-                    return false; // numerically empty column: singular
-                }
-                if cc < min_cnt {
-                    min_cnt = cc;
-                    cand.clear();
-                }
-                if cc == min_cnt && cand.len() < Self::SEARCH_COLS {
-                    cand.push(c);
-                }
-                if min_cnt == 1 && cand.len() >= Self::SEARCH_COLS {
-                    break;
-                }
-            }
-            let mut best: Option<(usize, usize, f64, usize)> = None; // (r, c, v, cost)
-            for &c in &cand {
-                if let Some((r, v, cost)) =
-                    best_in_col(&rows, &col_rows, &active_row, &row_count, &col_count, c)
-                {
-                    let better = match best {
-                        None => true,
-                        Some((_, _, bv, bc)) => cost < bc || (cost == bc && v.abs() > bv.abs()),
-                    };
-                    if better {
-                        best = Some((r, c, v, cost));
-                    }
-                }
-            }
-            if best.is_none() {
-                // the minimum-count columns had no stable entry: widen the
-                // search to every active column before declaring failure
-                for &c in &active_cols {
-                    if let Some((r, v, cost)) =
-                        best_in_col(&rows, &col_rows, &active_row, &row_count, &col_count, c)
-                    {
-                        let better = match best {
-                            None => true,
-                            Some((_, _, bv, bc)) => cost < bc || (cost == bc && v.abs() > bv.abs()),
-                        };
-                        if better {
-                            best = Some((r, c, v, cost));
-                        }
-                    }
-                }
-            }
-            let Some((p, q, piv, _)) = best else {
+            let Some((p, q, piv)) = active.choose_pivot(&mut searches) else {
                 self.reset_to_empty();
-                return false; // no stable pivot anywhere: singular
+                return false; // an empty column or no stable pivot anywhere: singular
             };
-
-            // --- elimination step ---
+            let (lcol, prow_entries) = active.eliminate(p, q, piv);
             self.prow.push(p);
             self.slot_of_uid.push(q);
             self.diag.push(piv);
-            active_row[p] = false;
-            active_col[q] = false;
-            // the pivot row's remaining active entries become row k of U
-            let prow_entries: Vec<(usize, f64)> = rows[p]
-                .iter()
-                .filter(|&&(c, _)| active_col[c])
-                .copied()
-                .collect();
-            for &(c, _) in &prow_entries {
-                col_count[c] -= 1;
-            }
-            // eliminate column q from every active row; self-deduping: the
-            // merge removes the q entry, so stale duplicates in col_rows[q]
-            // simply fail the lookup
-            let mut lcol: Vec<(usize, f64)> = Vec::new();
-            let rlist = std::mem::take(&mut col_rows[q]);
-            for r in rlist {
-                if !active_row[r] {
-                    continue;
-                }
-                let Some(v) = value_in(&rows, r, q) else {
-                    continue;
-                };
-                let mult = v / piv;
-                lcol.push((r, mult));
-                // rows[r] ← rows[r] − mult · pivot_row, dropping the q entry
-                let old = std::mem::take(&mut rows[r]);
-                let mut out: Vec<(usize, f64)> = Vec::with_capacity(old.len() + prow_entries.len());
-                let (mut a, mut bb) = (0usize, 0usize);
-                while a < old.len() || bb < prow_entries.len() {
-                    let ac = old.get(a).map(|e| e.0).unwrap_or(usize::MAX);
-                    let bc = prow_entries.get(bb).map(|e| e.0).unwrap_or(usize::MAX);
-                    if ac < bc {
-                        if ac != q {
-                            out.push(old[a]);
-                        }
-                        a += 1;
-                    } else if bc < ac {
-                        let nv = -mult * prow_entries[bb].1;
-                        if nv.abs() > 1e-14 {
-                            out.push((bc, nv));
-                            col_count[bc] += 1;
-                            col_rows[bc].push(r);
-                        }
-                        bb += 1;
-                    } else {
-                        let nv = old[a].1 - mult * prow_entries[bb].1;
-                        if nv.abs() > 1e-14 {
-                            out.push((ac, nv));
-                        } else {
-                            col_count[ac] -= 1;
-                        }
-                        a += 1;
-                        bb += 1;
-                    }
-                }
-                row_count[r] = out.len();
-                rows[r] = out;
-            }
             self.l_cols.push(lcol);
             pending_urows.push(prow_entries);
+        }
+        #[cfg(test)]
+        {
+            self.markowitz_searches = searches;
         }
 
         // finalize: map pending U rows (slot-indexed columns) to uid space
@@ -2326,6 +2165,316 @@ impl BasisFactorization for ForrestTomlinLu {
     }
 }
 
+/// Empty link in [`ColumnBuckets`].
+const NIL: usize = usize::MAX;
+
+/// Active counts of the rebuild's columns, with every active column threaded
+/// onto a doubly linked list per count: the Markowitz search reads its
+/// minimum-count candidates, and the peel its column singletons (bucket 1),
+/// without scanning the active columns. A count change is an `O(1)` relink.
+struct ColumnBuckets {
+    count: Vec<usize>,
+    head: Vec<usize>,
+    next: Vec<usize>,
+    prev: Vec<usize>,
+    /// Every bucket below this count is empty.
+    lowest: usize,
+}
+
+impl ColumnBuckets {
+    fn new(count: Vec<usize>) -> Self {
+        let m = count.len();
+        let mut buckets = ColumnBuckets {
+            count,
+            head: vec![NIL; m + 1],
+            next: vec![NIL; m],
+            prev: vec![NIL; m],
+            lowest: 0,
+        };
+        // linked in reverse so each bucket lists its columns in index order
+        for c in (0..m).rev() {
+            buckets.link(c);
+        }
+        buckets
+    }
+
+    fn link(&mut self, c: usize) {
+        let k = self.count[c];
+        let h = self.head[k];
+        self.prev[c] = NIL;
+        self.next[c] = h;
+        if h != NIL {
+            self.prev[h] = c;
+        }
+        self.head[k] = c;
+        self.lowest = self.lowest.min(k);
+    }
+
+    /// Takes `c` off its bucket (also how a pivoted column leaves for good).
+    fn unlink(&mut self, c: usize) {
+        let (p, n) = (self.prev[c], self.next[c]);
+        if p == NIL {
+            self.head[self.count[c]] = n;
+        } else {
+            self.next[p] = n;
+        }
+        if n != NIL {
+            self.prev[n] = p;
+        }
+    }
+
+    fn inc(&mut self, c: usize) {
+        self.unlink(c);
+        self.count[c] += 1;
+        self.link(c);
+    }
+
+    fn dec(&mut self, c: usize) {
+        self.unlink(c);
+        self.count[c] -= 1;
+        self.link(c);
+    }
+
+    /// The active columns holding exactly `k` active entries.
+    fn bucket(&self, k: usize) -> impl Iterator<Item = usize> + '_ {
+        let live = |c: usize| (c != NIL).then_some(c);
+        std::iter::successors(live(self.head[k]), move |&c| live(self.next[c]))
+    }
+
+    /// The smallest count with a nonempty bucket.
+    fn lowest_nonempty(&mut self) -> Option<usize> {
+        while self.head.get(self.lowest) == Some(&NIL) {
+            self.lowest += 1;
+        }
+        (self.lowest < self.head.len()).then_some(self.lowest)
+    }
+}
+
+/// The active submatrix of a [`ForrestTomlinLu`] rebuild (basis rows and
+/// columns not yet pivoted) with the pivot search's bookkeeping.
+struct ActiveSubmatrix {
+    /// Active rows as `(column, value)` sorted by column. An active row holds
+    /// active columns only: a pivot strips its column from every row.
+    rows: Vec<Vec<(usize, f64)>>,
+    /// Candidate rows per column with lazy deletion (entries are validated
+    /// against `rows` before use).
+    col_rows: Vec<Vec<usize>>,
+    row_count: Vec<usize>,
+    active_row: Vec<bool>,
+    cols: ColumnBuckets,
+    /// Rows whose active count reached one; stale entries are skipped.
+    row_singletons: Vec<usize>,
+}
+
+impl ActiveSubmatrix {
+    fn new(m: usize, cols: &[SparseColumn]) -> Self {
+        let mut row_len = vec![0usize; m];
+        for &(r, _) in cols.iter().flatten() {
+            row_len[r] += 1;
+        }
+        let mut rows: Vec<Vec<(usize, f64)>> =
+            row_len.iter().map(|&len| Vec::with_capacity(len)).collect();
+        // entries arrive in column order, so every row is born sorted
+        for (c, col) in cols.iter().enumerate() {
+            for &(r, v) in col {
+                if v != 0.0 {
+                    rows[r].push((c, v));
+                }
+            }
+        }
+        let mut col_rows: Vec<Vec<usize>> = cols
+            .iter()
+            .map(|col| Vec::with_capacity(col.len()))
+            .collect();
+        let mut col_count = vec![0usize; m];
+        let mut row_count = vec![0usize; m];
+        for (r, row) in rows.iter_mut().enumerate() {
+            // collapse duplicate column entries
+            row.dedup_by(|later, kept| {
+                let same = later.0 == kept.0;
+                if same {
+                    kept.1 += later.1;
+                }
+                same
+            });
+            row.retain(|&(_, v)| v != 0.0);
+            for &(c, _) in row.iter() {
+                col_rows[c].push(r);
+                col_count[c] += 1;
+            }
+            row_count[r] = row.len();
+        }
+        let row_singletons = (0..m).rev().filter(|&r| row_count[r] == 1).collect();
+        ActiveSubmatrix {
+            rows,
+            col_rows,
+            row_count,
+            active_row: vec![true; m],
+            cols: ColumnBuckets::new(col_count),
+            row_singletons,
+        }
+    }
+
+    /// The value of column `c` in active row `r` (rows stay sorted).
+    fn value_in(&self, r: usize, c: usize) -> Option<f64> {
+        let row = &self.rows[r];
+        row.binary_search_by_key(&c, |e| e.0)
+            .ok()
+            .map(|idx| row[idx].1)
+    }
+
+    /// The smallest stable pivot magnitude in column `c` (`PIVOT_THRESHOLD`
+    /// of its largest active entry), or `None` if it is numerically empty.
+    fn pivot_floor(&self, c: usize) -> Option<f64> {
+        let colmax = self.col_rows[c]
+            .iter()
+            .filter(|&&r| self.active_row[r])
+            .filter_map(|&r| self.value_in(r, c))
+            .fold(0.0f64, |acc, v| acc.max(v.abs()));
+        (colmax > ForrestTomlinLu::SINGULAR_TOL)
+            .then(|| (ForrestTomlinLu::PIVOT_THRESHOLD * colmax).max(ForrestTomlinLu::SINGULAR_TOL))
+    }
+
+    /// Best stable pivot `(row, value, cost)` inside column `c`: minimizes
+    /// the Markowitz cost `(r−1)(c−1)`, ties to the larger magnitude.
+    fn best_in_col(&self, c: usize) -> Option<(usize, f64, usize)> {
+        let floor = self.pivot_floor(c)?;
+        let mut best: Option<(usize, f64, usize)> = None;
+        for &r in &self.col_rows[c] {
+            if !self.active_row[r] {
+                continue;
+            }
+            let Some(v) = self.value_in(r, c) else {
+                continue;
+            };
+            if v.abs() < floor {
+                continue;
+            }
+            let cost = (self.row_count[r] - 1) * (self.cols.count[c] - 1);
+            if best.is_none_or(|(_, bv, bc)| cost < bc || (cost == bc && v.abs() > bv.abs())) {
+                best = Some((r, v, cost));
+            }
+        }
+        best
+    }
+
+    /// Best stable pivot `(row, column, value, cost)` over the columns `cands`.
+    fn best_over(&self, cands: impl Iterator<Item = usize>) -> Option<(usize, usize, f64, usize)> {
+        let mut best: Option<(usize, usize, f64, usize)> = None;
+        for c in cands {
+            if let Some((r, v, cost)) = self.best_in_col(c) {
+                if best.is_none_or(|(_, _, bv, bc)| cost < bc || (cost == bc && v.abs() > bv.abs()))
+                {
+                    best = Some((r, c, v, cost));
+                }
+            }
+        }
+        best
+    }
+
+    /// Chooses the next pivot `(row, column, value)`, or `None` when the
+    /// basis is singular. Singletons come first: a column singleton's entry
+    /// is its column's maximum, so it always passes the threshold and costs
+    /// no fill; a row singleton costs no fill either but must pass the
+    /// threshold test. Only when neither exists does the bucketed Markowitz
+    /// search run (counted in `searches`) on the minimum-count columns.
+    fn choose_pivot(&mut self, searches: &mut usize) -> Option<(usize, usize, f64)> {
+        if self.cols.head[0] != NIL {
+            return None; // a numerically empty column
+        }
+        let singleton = self
+            .cols
+            .bucket(1)
+            .take(ForrestTomlinLu::SEARCH_COLS)
+            .find_map(|c| self.best_in_col(c).map(|(r, v, _)| (r, c, v)));
+        if singleton.is_some() {
+            return singleton;
+        }
+        while let Some(r) = self.row_singletons.pop() {
+            if !self.active_row[r] || self.row_count[r] != 1 {
+                continue;
+            }
+            let (c, v) = self.rows[r][0];
+            if self.pivot_floor(c).is_some_and(|floor| v.abs() >= floor) {
+                return Some((r, c, v));
+            }
+        }
+        *searches += 1;
+        let k = self.cols.lowest_nonempty()?;
+        self.best_over(self.cols.bucket(k).take(ForrestTomlinLu::SEARCH_COLS))
+            .or_else(|| {
+                // the minimum-count columns had no stable entry: widen the
+                // search to every active column before declaring failure
+                let all = (k..self.cols.head.len()).flat_map(|k| self.cols.bucket(k));
+                self.best_over(all)
+            })
+            .map(|(r, c, v, _)| (r, c, v))
+    }
+
+    /// Pivots on `(p, q)`: retires row `p` and column `q` and eliminates `q`
+    /// from every other active row. Returns the `L` column `(row, mult)` and
+    /// the pivot row's remaining entries (a row of `U`, slot-indexed).
+    fn eliminate(&mut self, p: usize, q: usize, piv: f64) -> (SparseColumn, SparseColumn) {
+        self.active_row[p] = false;
+        self.cols.unlink(q);
+        let mut prow_entries = std::mem::take(&mut self.rows[p]);
+        prow_entries.retain(|&(c, _)| c != q);
+        for &(c, _) in &prow_entries {
+            self.cols.dec(c);
+        }
+        // self-deduping: the merge removes the q entry, so stale duplicates
+        // in col_rows[q] simply fail the lookup
+        let mut lcol: Vec<(usize, f64)> = Vec::new();
+        for r in std::mem::take(&mut self.col_rows[q]) {
+            if !self.active_row[r] {
+                continue;
+            }
+            let Some(v) = self.value_in(r, q) else {
+                continue;
+            };
+            let mult = v / piv;
+            lcol.push((r, mult));
+            // rows[r] ← rows[r] − mult · pivot_row, dropping the q entry
+            let old = std::mem::take(&mut self.rows[r]);
+            let mut out: Vec<(usize, f64)> = Vec::with_capacity(old.len() + prow_entries.len());
+            let (mut a, mut bb) = (0usize, 0usize);
+            while a < old.len() || bb < prow_entries.len() {
+                let ac = old.get(a).map(|e| e.0).unwrap_or(usize::MAX);
+                let bc = prow_entries.get(bb).map(|e| e.0).unwrap_or(usize::MAX);
+                if ac < bc {
+                    if ac != q {
+                        out.push(old[a]);
+                    }
+                    a += 1;
+                } else if bc < ac {
+                    let nv = -mult * prow_entries[bb].1;
+                    if nv.abs() > 1e-14 {
+                        out.push((bc, nv));
+                        self.cols.inc(bc);
+                        self.col_rows[bc].push(r);
+                    }
+                    bb += 1;
+                } else {
+                    let nv = old[a].1 - mult * prow_entries[bb].1;
+                    if nv.abs() > 1e-14 {
+                        out.push((ac, nv));
+                    } else {
+                        self.cols.dec(ac);
+                    }
+                    a += 1;
+                    bb += 1;
+                }
+            }
+            self.row_count[r] = out.len();
+            if out.len() == 1 {
+                self.row_singletons.push(r);
+            }
+            self.rows[r] = out;
+        }
+        (lcol, prow_entries)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2363,6 +2512,12 @@ mod tests {
     fn check_roundtrip(factor: &mut dyn BasisFactorization, seed: u64, m: usize) {
         let cols = random_basis(seed, m);
         assert!(factor.refactor(m, &cols), "random basis must factorize");
+        check_solves(factor, &cols, seed);
+    }
+
+    /// FTRAN and BTRAN of the factorized `cols` against the dense products.
+    fn check_solves(factor: &dyn BasisFactorization, cols: &[SparseColumn], seed: u64) {
+        let m = cols.len();
         let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD);
 
         // FTRAN: B w = a
@@ -2374,7 +2529,7 @@ mod tests {
         }
         let mut w = vec![0.0f64; m];
         factor.ftran_sparse(&a, &mut w);
-        let bw = apply_b(m, &cols, &w);
+        let bw = apply_b(m, cols, &w);
         let mut dense_a = vec![0.0f64; m];
         for &(r, v) in &a {
             dense_a[r] += v;
@@ -2412,6 +2567,100 @@ mod tests {
         for i in 0..m {
             assert!((rho[i] - yr[i]).abs() < 1e-10);
         }
+    }
+
+    /// A random permutation of `0..m`.
+    fn permutation(rng: &mut StdRng, m: usize) -> Vec<usize> {
+        let mut p: Vec<usize> = (0..m).collect();
+        for i in (1..m).rev() {
+            p.swap(i, rng.random_range(0..=i));
+        }
+        p
+    }
+
+    /// The block upper-triangular basis `[[T1, X, Y], [0, D, Z], [0, 0, T2]]`
+    /// with its rows and columns randomly permuted. `D` is a dense
+    /// `bump × bump` block; outside it, half the columns are slacks and the
+    /// rest carry two entries above the diagonal, like auction bundle
+    /// columns. The column singletons peel `T1` and the row singletons `T2`.
+    /// With `singular` set, the second column of `D` is twice the first.
+    fn bump_basis(seed: u64, m: usize, bump: usize, singular: bool) -> Vec<SparseColumn> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let row = permutation(&mut rng, m);
+        let slot = permutation(&mut rng, m);
+        let d = (m - bump) / 2..(m - bump) / 2 + bump;
+        let mut cols = vec![SparseColumn::new(); m];
+        for k in 0..m {
+            let mut col: SparseColumn = Vec::new();
+            if d.contains(&k) {
+                for i in d.clone() {
+                    let dominance = if i == k { 4.0 } else { 0.0 };
+                    col.push((row[i], dominance + rng.random_range(-0.5..0.5)));
+                }
+            } else {
+                col.push((row[k], 2.0 + rng.random_range(0.0..1.0)));
+            }
+            if k > 0 && (d.contains(&k) || rng.random_range(0.0..1.0) < 0.5) {
+                for _ in 0..2 {
+                    col.push((row[rng.random_range(0..k)], rng.random_range(-0.5..0.5)));
+                }
+            }
+            cols[slot[k]] = col;
+        }
+        if singular {
+            let first = cols[slot[d.start]].clone();
+            cols[slot[d.start + 1]] = first.iter().map(|&(r, v)| (r, 2.0 * v)).collect();
+        }
+        cols
+    }
+
+    /// A permuted-triangular basis — slacks plus bundle columns, the shape
+    /// of an auction basis — is peeled entirely: zero Markowitz searches.
+    #[test]
+    fn triangular_basis_needs_no_markowitz_search() {
+        let m = 2000;
+        for seed in [1u64, 2] {
+            let cols = bump_basis(seed, m, 0, false);
+            let mut ft = ForrestTomlinLu::default();
+            assert!(ft.refactor(m, &cols));
+            assert_eq!(ft.markowitz_searches, 0, "seed {seed}");
+            check_solves(&ft, &cols, seed);
+        }
+    }
+
+    /// Triangular parts around a dense bump: the peel takes both triangles
+    /// and Markowitz runs on the bump only, and the factors solve exactly.
+    #[test]
+    fn bump_basis_runs_markowitz_on_the_bump_only() {
+        let (m, bump) = (300, 12);
+        for seed in [3u64, 4, 5] {
+            let cols = bump_basis(seed, m, bump, false);
+            let mut ft = ForrestTomlinLu::default();
+            assert!(ft.refactor(m, &cols));
+            assert!(
+                (1..=bump).contains(&ft.markowitz_searches),
+                "seed {seed}: {} searches for a {bump}-column bump",
+                ft.markowitz_searches
+            );
+            check_solves(&ft, &cols, seed);
+        }
+    }
+
+    /// A basis singular only inside its bump fails the rebuild after the
+    /// peel succeeded, and leaves the empty state behind.
+    #[test]
+    fn basis_singular_inside_the_bump_is_rejected() {
+        let (m, bump) = (300, 12);
+        let mut ft = ForrestTomlinLu::default();
+        assert!(ft.refactor(m, &bump_basis(6, m, bump, false)));
+        assert!(!ft.refactor(m, &bump_basis(6, m, bump, true)));
+        assert_eq!(ft.num_rows(), 0);
+        let mut w = vec![f64::NAN; m];
+        ft.ftran_dense(&vec![1.0; m], &mut w);
+        assert!(w.iter().all(|&v| v == 0.0));
+        let mut y = vec![f64::NAN; m];
+        ft.btran(&vec![1.0; m], &mut y);
+        assert!(y.iter().all(|&v| v == 0.0));
     }
 
     #[test]
@@ -2829,66 +3078,69 @@ mod tests {
 
     /// Sparse FT updates (spike built from the image's support) must track a
     /// fresh refactorization through a long random pivot sequence, exactly
-    /// like the dense-update variant of this test above.
+    /// like the dense-update variant of this test above — across many
+    /// rebuilds, each factorizing the basis the previous updates produced.
     #[test]
     fn forrest_tomlin_long_sparse_sequence_matches_fresh_refactor() {
         for seed in [9u64, 31, 47] {
             let m = 48;
             let mut cols = block_basis(seed, m);
             let mut ft = ForrestTomlinLu::default();
-            assert!(ft.refactor(m, &cols));
             let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED);
-            let mut applied = 0usize;
             let mut w = SparseVector::zeros(m);
-            let mut guard = 0usize;
-            while applied < 40 {
-                guard += 1;
-                assert!(guard < 4000, "seed {seed}: pivot sequence stalled");
-                let anchor = rng.random_range(0..m);
-                let base = anchor - (anchor % BLOCK);
-                let width = BLOCK.min(m - base);
-                let mut e: SparseColumn = vec![(anchor, 2.5)];
-                for _ in 0..3 {
-                    if rng.random_range(0.0..1.0) < 0.6 {
-                        let r = base + rng.random_range(0..width);
-                        e.push((r, rng.random_range(-2.0..2.0)));
+            for _rebuild in 0..6 {
+                assert!(ft.refactor(m, &cols));
+                let mut applied = 0usize;
+                let mut guard = 0usize;
+                while applied < 40 {
+                    guard += 1;
+                    assert!(guard < 4000, "seed {seed}: pivot sequence stalled");
+                    let anchor = rng.random_range(0..m);
+                    let base = anchor - (anchor % BLOCK);
+                    let width = BLOCK.min(m - base);
+                    let mut e: SparseColumn = vec![(anchor, 2.5)];
+                    for _ in 0..3 {
+                        if rng.random_range(0.0..1.0) < 0.6 {
+                            let r = base + rng.random_range(0..width);
+                            e.push((r, rng.random_range(-2.0..2.0)));
+                        }
+                    }
+                    ft.ftran_sparse_into(&e, &mut w);
+                    let l = (0..m)
+                        .max_by(|&a, &b| w.value(a).abs().partial_cmp(&w.value(b).abs()).unwrap())
+                        .unwrap();
+                    if w.value(l).abs() < 1e-4 || !ft.update_sparse(l, &w) {
+                        continue;
+                    }
+                    cols[l] = e;
+                    applied += 1;
+                    if applied.is_multiple_of(10) {
+                        let mut fresh = ForrestTomlinLu::default();
+                        assert!(fresh.refactor(m, &cols));
+                        let rhs: Vec<f64> = (0..m).map(|_| rng.random_range(-2.0..2.0)).collect();
+                        let mut w_upd = vec![0.0f64; m];
+                        let mut w_fresh = vec![0.0f64; m];
+                        ft.ftran_dense(&rhs, &mut w_upd);
+                        fresh.ftran_dense(&rhs, &mut w_fresh);
+                        for i in 0..m {
+                            assert!(
+                                (w_upd[i] - w_fresh[i]).abs() < 1e-6,
+                                "seed {seed}: sparse-update ftran drift {} at {i} after {applied}",
+                                (w_upd[i] - w_fresh[i]).abs()
+                            );
+                        }
+                        // and the hyper-sparse solves drift no further than the
+                        // dense ones
+                        let r = rng.random_range(0..m);
+                        let mut rho_dense = vec![0.0f64; m];
+                        ft.btran_unit(r, &mut rho_dense);
+                        let mut rho_sv = SparseVector::zeros(m);
+                        ft.btran_unit_into(r, &mut rho_sv);
+                        assert_sv_matches(&rho_sv, &rho_dense, 1e-7, "mid-sequence btran");
                     }
                 }
-                ft.ftran_sparse_into(&e, &mut w);
-                let l = (0..m)
-                    .max_by(|&a, &b| w.value(a).abs().partial_cmp(&w.value(b).abs()).unwrap())
-                    .unwrap();
-                if w.value(l).abs() < 1e-4 || !ft.update_sparse(l, &w) {
-                    continue;
-                }
-                cols[l] = e;
-                applied += 1;
-                if applied.is_multiple_of(10) {
-                    let mut fresh = ForrestTomlinLu::default();
-                    assert!(fresh.refactor(m, &cols));
-                    let rhs: Vec<f64> = (0..m).map(|_| rng.random_range(-2.0..2.0)).collect();
-                    let mut w_upd = vec![0.0f64; m];
-                    let mut w_fresh = vec![0.0f64; m];
-                    ft.ftran_dense(&rhs, &mut w_upd);
-                    fresh.ftran_dense(&rhs, &mut w_fresh);
-                    for i in 0..m {
-                        assert!(
-                            (w_upd[i] - w_fresh[i]).abs() < 1e-6,
-                            "seed {seed}: sparse-update ftran drift {} at {i} after {applied}",
-                            (w_upd[i] - w_fresh[i]).abs()
-                        );
-                    }
-                    // and the hyper-sparse solves drift no further than the
-                    // dense ones
-                    let r = rng.random_range(0..m);
-                    let mut rho_dense = vec![0.0f64; m];
-                    ft.btran_unit(r, &mut rho_dense);
-                    let mut rho_sv = SparseVector::zeros(m);
-                    ft.btran_unit_into(r, &mut rho_sv);
-                    assert_sv_matches(&rho_sv, &rho_dense, 1e-7, "mid-sequence btran");
-                }
+                assert_eq!(ft.updates_since_refactor(), 40);
             }
-            assert_eq!(ft.updates_since_refactor(), 40);
         }
     }
 }

@@ -48,6 +48,24 @@
 //! cross term (which would need a second BTRAN per pivot) but never
 //! *under*-estimates a norm that the update touches, and the periodic exact
 //! reset at refactorization stops long-run drift.
+//!
+//! The same pivot row carries the candidates' **reduced costs**. With
+//! `θ_d = rc_q / α_q` (the step the core applies to its duals,
+//! `y ← y + θ_d·e_lᵀB⁻¹`),
+//!
+//! ```text
+//! d_j  ← d_j − θ_d · α_j                     (candidates j ≠ q)
+//! ```
+//!
+//! so a select scores each listed candidate in `O(1)` instead of a column
+//! dot product. Columns the refill scan adds are priced fresh from the
+//! core's `rc(j)`. The carried `d_j` only rank candidates. The pick is
+//! re-certified against the core's `rc(j)` before it is returned, and if
+//! that check fails the rule re-prices the whole list fresh. The cache is
+//! dropped, and the list re-priced fresh on the next select, at every
+//! refactorization, whenever the core recomputes its duals, and after any
+//! pivot the rule did not choose (the Bland override). "No entering column"
+//! still needs a full wrap of fresh `rc(j)`.
 
 use serde::{Deserialize, Serialize};
 
@@ -136,6 +154,12 @@ pub trait Pricing: std::fmt::Debug {
     fn observe_entering(&mut self, entering: usize, norm_sq: f64) {
         let _ = (entering, norm_sq);
     }
+
+    /// Observes that the core recomputed its duals from scratch or rebuilt
+    /// the factors since the last pivot: reduced costs the rule carries
+    /// across pivots no longer match the core's and must be re-priced.
+    /// Default no-op.
+    fn notify_duals_reset(&mut self) {}
 
     /// Notifies the rule of a scheduled refactorization; `norm_sq(j)`
     /// computes the exact `‖B⁻¹a_j‖²` for one column (one sparse FTRAN
@@ -392,6 +416,11 @@ impl Pricing for DevexPricing {
 ///    ([`notify_refactor`](Pricing::notify_refactor)); the work is bounded
 ///    by the list length, which partial pricing already caps.
 ///
+/// Listed candidates also carry their reduced costs across the pivots this
+/// rule chooses, updated from the same pivot row (see the module docs), so
+/// re-scoring the list costs `O(1)` per candidate. A pick is re-checked
+/// against the core's `rc(j)` before it is returned.
+///
 /// Candidate-list mechanics (rotating-cursor refill, full-wrap optimality
 /// certification) are identical to [`DevexPricing`].
 #[derive(Clone, Debug, Default)]
@@ -406,38 +435,36 @@ pub struct SteepestEdgePricing {
     entering_norm: f64,
     /// Which column `entering_norm` belongs to.
     entering_col: usize,
+    /// Carried reduced costs `d_j` of the listed candidates (valid while
+    /// `carried`), updated per pivot as `d_j ← d_j − θ_d·α_j`.
+    reduced: Vec<f64>,
+    /// Whether `reduced` tracks the core's duals for every listed candidate.
+    carried: bool,
+    /// The last pick and its re-checked reduced cost `rc_e`, consumed by the
+    /// next [`notify_pivot`](Pricing::notify_pivot) if that pivot enters it.
+    picked: Option<(usize, f64)>,
 }
 
 impl SteepestEdgePricing {
     /// Weights above this trigger a reference-framework reset (matches the
     /// dual steepest-edge reset in [`crate::dual`]).
     const WEIGHT_RESET: f64 = 1e12;
-}
 
-impl Pricing for SteepestEdgePricing {
-    fn reset(&mut self, n_total: usize) {
-        self.weights.clear();
-        self.weights.resize(n_total, 1.0);
-        self.candidates.clear();
-        self.in_list.clear();
-        self.in_list.resize(n_total, false);
-        self.cursor = 0;
-        self.max_weight = 1.0;
-        self.entering_norm = 1.0;
-        self.entering_col = usize::MAX;
-    }
-
-    fn select_entering(
+    /// Re-scores the candidate list — from the carried `d_j` while
+    /// `carried`, else from the core's `rc(j)` — and refills it from the
+    /// rotating cursor with fresh `rc(j)` when it runs thin. Returns the best
+    /// `(column, score)`; `None` only after a full wrap over every column
+    /// outside the list found no fresh `rc(j)` improving, with the list
+    /// itself empty (same discipline and chunk sizing as Devex).
+    fn scan(
         &mut self,
         n_total: usize,
         tol: f64,
         eligible: &dyn Fn(usize) -> bool,
         rc: &dyn Fn(usize) -> f64,
-    ) -> Option<usize> {
-        if self.weights.len() != n_total {
-            self.weights.resize(n_total, 1.0);
-            self.in_list.resize(n_total, false);
-        }
+    ) -> Option<(usize, f64)> {
+        let fresh = !self.carried;
+        self.carried = true;
         let mut best: Option<(usize, f64)> = None;
         let mut kept = Vec::with_capacity(self.candidates.len());
         for &j in &self.candidates {
@@ -445,10 +472,11 @@ impl Pricing for SteepestEdgePricing {
                 self.in_list[j] = false;
                 continue;
             }
-            let r = rc(j);
+            let r = if fresh { rc(j) } else { self.reduced[j] };
             if r > tol {
+                self.reduced[j] = r;
                 let score = r * r / self.weights[j];
-                if best.as_ref().map(|&(_, s)| score > s).unwrap_or(true) {
+                if best.is_none_or(|(_, s)| score > s) {
                     best = Some((j, score));
                 }
                 kept.push(j);
@@ -458,9 +486,6 @@ impl Pricing for SteepestEdgePricing {
         }
         self.candidates = kept;
 
-        // refill from the rotating cursor when the list runs thin; a full
-        // wrap with nothing improving proves optimality (same discipline,
-        // same chunk sizing as Devex)
         if self.candidates.len() < DevexPricing::min_keep(n_total) {
             let chunk = DevexPricing::chunk(n_total);
             let mut scanned = 0usize;
@@ -476,15 +501,63 @@ impl Pricing for SteepestEdgePricing {
                 if r > tol {
                     self.candidates.push(j);
                     self.in_list[j] = true;
+                    self.reduced[j] = r;
                     found += 1;
                     let score = r * r / self.weights[j];
-                    if best.as_ref().map(|&(_, s)| score > s).unwrap_or(true) {
+                    if best.is_none_or(|(_, s)| score > s) {
                         best = Some((j, score));
                     }
                 }
             }
         }
-        best.map(|(j, _)| j)
+        best
+    }
+}
+
+impl Pricing for SteepestEdgePricing {
+    fn reset(&mut self, n_total: usize) {
+        self.weights.clear();
+        self.weights.resize(n_total, 1.0);
+        self.candidates.clear();
+        self.in_list.clear();
+        self.in_list.resize(n_total, false);
+        self.cursor = 0;
+        self.max_weight = 1.0;
+        self.entering_norm = 1.0;
+        self.entering_col = usize::MAX;
+        self.reduced.clear();
+        self.reduced.resize(n_total, 0.0);
+        self.carried = false;
+        self.picked = None;
+    }
+
+    fn select_entering(
+        &mut self,
+        n_total: usize,
+        tol: f64,
+        eligible: &dyn Fn(usize) -> bool,
+        rc: &dyn Fn(usize) -> f64,
+    ) -> Option<usize> {
+        if self.weights.len() != n_total {
+            self.weights.resize(n_total, 1.0);
+            self.in_list.resize(n_total, false);
+        }
+        self.reduced.resize(n_total, 0.0);
+        self.picked = None;
+        loop {
+            let (j, _) = self.scan(n_total, tol, eligible, rc)?;
+            // Re-certify the pick against the core's reduced cost: a drifted
+            // d_j may rank a column, but never lets a non-improving one in.
+            let r = rc(j);
+            self.reduced[j] = r;
+            if r > tol {
+                self.picked = Some((j, r));
+                return Some(j);
+            }
+            // The cache drifted. The next scan re-prices every candidate from
+            // rc(j), so its pick re-checks to the same value and is returned.
+            self.carried = false;
+        }
     }
 
     fn wants_pivot_row(&self) -> bool {
@@ -498,6 +571,16 @@ impl Pricing for SteepestEdgePricing {
         alpha_entering: f64,
         alpha: &dyn Fn(usize) -> f64,
     ) {
+        // θ_d = rc_e / α_e carries the listed d_j across this pivot, but only
+        // across a pivot this rule chose; a Bland-override pivot (or any
+        // other) drops the cache instead
+        let theta_d = match self.picked.take() {
+            Some((j, rc_e)) if self.carried && j == entering && alpha_entering.abs() > 1e-12 => {
+                Some(rc_e / alpha_entering)
+            }
+            _ => None,
+        };
+        self.carried = theta_d.is_some();
         if alpha_entering.abs() <= 1e-12 {
             return;
         }
@@ -516,6 +599,9 @@ impl Pricing for SteepestEdgePricing {
             }
             let aj = alpha(j);
             if aj != 0.0 {
+                if let Some(theta_d) = theta_d {
+                    self.reduced[j] -= theta_d * aj;
+                }
                 let cand = aj * aj * inv_aq2 * gq;
                 if cand > self.weights[j] {
                     self.weights[j] = cand;
@@ -559,7 +645,12 @@ impl Pricing for SteepestEdgePricing {
         }
     }
 
+    fn notify_duals_reset(&mut self) {
+        self.carried = false;
+    }
+
     fn notify_refactor(&mut self, norm_sq: &dyn Fn(usize) -> f64) {
+        self.carried = false;
         // exact reset for the candidate set — bounded by the list length
         // (≤ min_keep + chunk), amortized over refactor_interval pivots
         let mut max_w = 1.0f64;
@@ -568,6 +659,20 @@ impl Pricing for SteepestEdgePricing {
             max_w = max_w.max(self.weights[j]);
         }
         self.max_weight = max_w;
+    }
+}
+
+#[cfg(test)]
+impl SteepestEdgePricing {
+    /// The listed candidates with their carried `d_j`, or `None` while the
+    /// cache is dropped.
+    pub(crate) fn carried_reduced_costs(&self) -> Option<Vec<(usize, f64)>> {
+        self.carried.then(|| {
+            self.candidates
+                .iter()
+                .map(|&j| (j, self.reduced[j]))
+                .collect()
+        })
     }
 }
 
@@ -669,6 +774,75 @@ mod tests {
         for &j in &p.candidates {
             assert!((p.weights[j] - (1.0 + j as f64 * 10.0)).abs() < 1e-12);
         }
+    }
+
+    /// Reduced costs before the pivot of [`carried_pricer`]; column 4 plays
+    /// the basic variable that leaves.
+    const RC_BEFORE: [f64; 5] = [3.0, 2.0, 1.0, 0.5, -1.0];
+
+    /// Steepest edge after choosing column 0 from [`RC_BEFORE`] and pivoting
+    /// it in with `α_0 = 2` and pivot row `α = [2, 1, 0, −1, 1]`, so that
+    /// `θ_d = 3 / 2` and the listed columns carry `d = [·, 0.5, 1, 2]`.
+    fn carried_pricer() -> SteepestEdgePricing {
+        let n = RC_BEFORE.len();
+        let mut p = SteepestEdgePricing::default();
+        p.reset(n);
+        let pick = p.select_entering(n, 1e-9, &|j| j != 4, &|j| RC_BEFORE[j]);
+        assert_eq!(pick, Some(0));
+        p.notify_pivot(0, 4, 2.0, &|j| [2.0, 1.0, 0.0, -1.0, 1.0][j]);
+        p
+    }
+
+    #[test]
+    fn steepest_edge_carries_reduced_costs_across_its_pivots() {
+        let mut carried = carried_pricer()
+            .carried_reduced_costs()
+            .expect("cache kept");
+        carried.sort_by_key(|e| e.0);
+        assert_eq!(carried, vec![(1, 0.5), (2, 1.0), (3, 2.0)]);
+    }
+
+    #[test]
+    fn stale_carried_reduced_cost_never_enters() {
+        // the core's reduced costs after the pivot; column 2's carried d_j
+        // is corrupted far above its true (non-improving) value
+        let rc_after = [0.0, 0.5, -1.0, 2.0, -1.5];
+        let mut p = carried_pricer();
+        p.reduced[2] = 50.0;
+        let pick = p.select_entering(5, 1e-9, &|j| j != 0, &|j| rc_after[j]);
+        assert_eq!(pick, Some(3), "the re-check must reject column 2");
+
+        // nothing truly improves: a stale cache must not manufacture a pick,
+        // and None comes only from the fresh full wrap
+        let mut p = carried_pricer();
+        p.reduced[1] = 50.0;
+        let pick = p.select_entering(5, 1e-9, &|j| j != 0, &|j| -(j as f64) - 0.1);
+        assert_eq!(pick, None);
+    }
+
+    #[test]
+    fn refactor_and_unchosen_pivots_drop_the_carried_cache() {
+        let mut p = carried_pricer();
+        p.notify_refactor(&|_| 0.0);
+        assert!(
+            p.carried_reduced_costs().is_none(),
+            "refactor keeps the cache"
+        );
+
+        let mut p = carried_pricer();
+        p.notify_duals_reset();
+        assert!(
+            p.carried_reduced_costs().is_none(),
+            "fresh duals keep the cache"
+        );
+
+        // a Bland-override pivot: the core entered column 3 without asking
+        let mut p = carried_pricer();
+        p.notify_pivot(3, 0, 1.0, &|j| [0.0, 1.0, 1.0, 1.0, 0.0][j]);
+        assert!(
+            p.carried_reduced_costs().is_none(),
+            "unchosen pivot keeps the cache"
+        );
     }
 
     #[test]

@@ -156,7 +156,11 @@ pub struct SimplexOptions {
     pub stall_threshold: usize,
     /// Rebuild the basis factorization after this many updates (numerical
     /// hygiene). `0` disables periodic refactorization (the factorization
-    /// may still force one by declining an update).
+    /// may still force one by declining an update). A Forrest–Tomlin
+    /// rebuild costs `O(nnz(B))` plus the elimination work inside the
+    /// basis's non-triangular bump (see [`crate::basis`]). The interval
+    /// trades that cost, plus re-pricing the pricing rule's candidates
+    /// fresh after each rebuild, against eta-file growth and drift.
     pub refactor_interval: usize,
     /// Pricing rule (entering-column choice).
     pub pricing: PricingRule,
@@ -703,6 +707,14 @@ impl<'a> Revised<'a> {
         (0..self.m).map(|r| cost[self.basis[r]] * self.xb[r]).sum()
     }
 
+    /// Recomputes the duals `y = c_B B⁻¹` from scratch (one full BTRAN).
+    fn fresh_duals(&self, cost: &[f64], cb: &mut [f64], y: &mut [f64]) {
+        for (r, c) in cb.iter_mut().enumerate() {
+            *c = cost[self.basis[r]];
+        }
+        self.factor.btran(cb, y);
+    }
+
     /// Applies the pivot (leaving row `l`, entering column `e`, direction
     /// `w = B⁻¹ a_e`) to the basic solution, the basis bookkeeping, and the
     /// factorization. Returns `false` only when the factorization declined
@@ -764,7 +776,12 @@ impl<'a> Revised<'a> {
         let mut rho_buf = SparseVector::zeros(m);
         let mut col_scratch = SparseColumn::new();
         let mut stall = 0usize;
-        let mut last_obj = self.objective_of_basis(cost);
+        // The stall counter watches the objective, tracked in O(1) per pivot
+        // by adding each pivot's gain rc_e·θ and re-based on an exact c_B·x_B
+        // whenever the factors were rebuilt (which also recomputes x_B).
+        let mut obj = self.objective_of_basis(cost);
+        let mut last_obj = obj;
+        let mut refactors_seen = self.refactorizations;
         // `y_valid`: y holds (possibly incrementally updated) duals for the
         // current basis. `y_fresh`: y was recomputed by a full BTRAN for the
         // current basis, so an empty pricing scan is a proof of optimality.
@@ -824,12 +841,18 @@ impl<'a> Revised<'a> {
             }
 
             if !y_valid {
-                for (r, c) in cb.iter_mut().enumerate() {
-                    *c = cost[self.basis[r]];
-                }
-                self.factor.btran(&cb, &mut y);
+                self.fresh_duals(cost, &mut cb, &mut y);
                 y_valid = true;
                 y_fresh = true;
+            }
+            let rebuilt = self.refactorizations != refactors_seen;
+            if rebuilt {
+                refactors_seen = self.refactorizations;
+                obj = self.objective_of_basis(cost);
+            }
+            if rebuilt || y_fresh {
+                // reduced costs carried under the old duals are stale
+                pricer.notify_duals_reset();
             }
 
             let use_bland = stall >= self.stall_threshold;
@@ -850,11 +873,9 @@ impl<'a> Revised<'a> {
                 None => {
                     // Optimality under incrementally updated duals is only a
                     // candidate: recompute y exactly and ask again.
-                    for (r, c) in cb.iter_mut().enumerate() {
-                        *c = cost[self.basis[r]];
-                    }
-                    self.factor.btran(&cb, &mut y);
+                    self.fresh_duals(cost, &mut cb, &mut y);
                     y_fresh = true;
+                    pricer.notify_duals_reset();
                     select(self, &y, pricer)?
                 }
             };
@@ -932,10 +953,7 @@ impl<'a> Revised<'a> {
                     // updated duals; like the optimality exit, an unbounded
                     // verdict must not rest on drifted reduced costs.
                     // Recompute y and re-price from scratch.
-                    for (r, c) in cb.iter_mut().enumerate() {
-                        *c = cost[self.basis[r]];
-                    }
-                    self.factor.btran(&cb, &mut y);
+                    self.fresh_duals(cost, &mut cb, &mut y);
                     y_fresh = true;
                     continue;
                 }
@@ -973,6 +991,7 @@ impl<'a> Revised<'a> {
             }
             let leaving_col = self.basis[l];
             let wl = w.value(l);
+            let theta = self.xb[l] / wl;
 
             if !self.pivot(l, e, &w) {
                 return Some(LpStatus::IterationLimit);
@@ -1007,7 +1026,7 @@ impl<'a> Revised<'a> {
                 y_valid = false;
             }
 
-            let obj = self.objective_of_basis(cost);
+            obj += rc_e * theta;
             if obj > last_obj + self.tol {
                 stall = 0;
             } else {
@@ -1072,7 +1091,8 @@ impl<'a> Revised<'a> {
     }
 
     fn run(&mut self, warm: Option<WarmStart>) -> LpStatus {
-        let status = self.run_attempt(warm);
+        let mut pricer = make_pricing(self.pricing_rule);
+        let status = self.run_attempt(warm, pricer.as_mut());
         if !self.factor_failed {
             return status;
         }
@@ -1088,14 +1108,14 @@ impl<'a> Revised<'a> {
         // discarded pivots were real work.
         self.factor_failed = false;
         let (prior_refactors, prior_forced) = (self.refactorizations, self.forced_refactorizations);
-        let status = self.run_attempt(None);
+        let status = self.run_attempt(None, pricer.as_mut());
         self.refactorizations += prior_refactors;
         self.forced_refactorizations += prior_forced;
         status
     }
 
-    fn run_attempt(&mut self, warm: Option<WarmStart>) -> LpStatus {
-        let mut pricer = make_pricing(self.pricing_rule);
+    /// One solve attempt with `pricer` (reset at the start of each phase).
+    fn run_attempt(&mut self, warm: Option<WarmStart>, pricer: &mut dyn Pricing) -> LpStatus {
         let warm_ok = match warm {
             Some(state) => self.try_warm_basis(state),
             None => false,
@@ -1120,10 +1140,9 @@ impl<'a> Revised<'a> {
                 }
                 let enterable = self.enterable.clone();
                 pricer.reset(self.n_total);
-                self.seed_identity_weights(pricer.as_mut());
+                self.seed_identity_weights(pricer);
                 basis_is_identity = false; // phase 1 moves the basis off I
-                if let Some(status) = self.iterate(&phase1_cost, |j| enterable[j], pricer.as_mut())
-                {
+                if let Some(status) = self.iterate(&phase1_cost, |j| enterable[j], pricer) {
                     // Phase 1 is bounded by 0, so this is an iteration limit.
                     return status;
                 }
@@ -1145,13 +1164,9 @@ impl<'a> Revised<'a> {
         pricer.reset(self.n_total);
         if basis_is_identity {
             // packing LPs start phase 2 directly at the slack basis
-            self.seed_identity_weights(pricer.as_mut());
+            self.seed_identity_weights(pricer);
         }
-        match self.iterate(
-            &cost,
-            |j| j < first_artificial && enterable[j],
-            pricer.as_mut(),
-        ) {
+        match self.iterate(&cost, |j| j < first_artificial && enterable[j], pricer) {
             None => LpStatus::Optimal,
             Some(s) => s,
         }
@@ -1669,6 +1684,164 @@ mod tests {
         lp.add_constraint(vec![(0, 1.0)], Relation::Eq, 0.5);
         lp.add_constraint(vec![(0, 1.0)], Relation::Eq, 0.5);
         lp
+    }
+
+    /// Steepest edge with its carried reduced costs audited against the
+    /// core's `rc(j)` at every select, and its cache drops checked after
+    /// every refactor and every pivot it did not choose.
+    #[derive(Debug, Default)]
+    struct AuditedSteepestEdge {
+        inner: crate::pricing::SteepestEdgePricing,
+        /// `|d_j − rc(j)|` may reach `1e-9 · scale`.
+        scale: f64,
+        last_pick: Option<usize>,
+        audited: usize,
+        chosen_pivots: usize,
+        other_pivots: usize,
+        refactors: usize,
+    }
+
+    impl Pricing for AuditedSteepestEdge {
+        fn reset(&mut self, n_total: usize) {
+            self.inner.reset(n_total);
+        }
+
+        fn select_entering(
+            &mut self,
+            n_total: usize,
+            tol: f64,
+            eligible: &dyn Fn(usize) -> bool,
+            rc: &dyn Fn(usize) -> f64,
+        ) -> Option<usize> {
+            for (j, d) in self.inner.carried_reduced_costs().unwrap_or_default() {
+                let fresh = rc(j);
+                assert!(
+                    (d - fresh).abs() <= 1e-9 * self.scale,
+                    "carried d_{j} = {d} but rc = {fresh}"
+                );
+                self.audited += 1;
+            }
+            let pick = self.inner.select_entering(n_total, tol, eligible, rc);
+            if let Some(j) = pick {
+                assert!(rc(j) > tol, "column {j} entered with rc {}", rc(j));
+            }
+            self.last_pick = pick;
+            pick
+        }
+
+        fn wants_pivot_row(&self) -> bool {
+            self.inner.wants_pivot_row()
+        }
+
+        fn notify_pivot(&mut self, e: usize, l: usize, alpha_e: f64, alpha: &dyn Fn(usize) -> f64) {
+            self.inner.notify_pivot(e, l, alpha_e, alpha);
+            if self.last_pick.take() == Some(e) {
+                self.chosen_pivots += 1;
+            } else {
+                assert!(
+                    self.inner.carried_reduced_costs().is_none(),
+                    "a pivot the rule did not choose kept the cache"
+                );
+                self.other_pivots += 1;
+            }
+        }
+
+        fn seed_reference_weights(&mut self, n_total: usize, norm_sq: &dyn Fn(usize) -> f64) {
+            self.inner.seed_reference_weights(n_total, norm_sq);
+        }
+
+        fn observe_entering(&mut self, entering: usize, norm_sq: f64) {
+            self.inner.observe_entering(entering, norm_sq);
+        }
+
+        fn notify_duals_reset(&mut self) {
+            self.inner.notify_duals_reset();
+        }
+
+        fn notify_refactor(&mut self, norm_sq: &dyn Fn(usize) -> f64) {
+            self.inner.notify_refactor(norm_sq);
+            assert!(
+                self.inner.carried_reduced_costs().is_none(),
+                "refactor kept the cache"
+            );
+            self.refactors += 1;
+        }
+    }
+
+    /// Solves `lp` through [`AuditedSteepestEdge`], checks the optimum
+    /// against the dense oracle and returns the audit.
+    fn audited_solve(lp: &LinearProgram, options: &SimplexOptions) -> AuditedSteepestEdge {
+        let scale = 1.0
+            + lp.objective()
+                .iter()
+                .fold(0.0f64, |acc, &c| acc.max(c.abs()));
+        let mut pricer = AuditedSteepestEdge {
+            scale,
+            ..Default::default()
+        };
+        let mut solver = Revised::build(lp, options);
+        let status = solver.run_attempt(None, &mut pricer);
+        let solution = solver.extract(status);
+        let reference = dense::solve(lp, &SimplexOptions::default());
+        assert_eq!(solution.status, LpStatus::Optimal);
+        assert!((solution.objective - reference.objective).abs() < 1e-6);
+        pricer
+    }
+
+    /// Steepest edge's carried reduced costs track the core's fresh `rc(j)`
+    /// through whole pivot sequences (scheduled refactors every 8 pivots
+    /// drop and re-base them), and pivots the rule did not choose — the
+    /// Bland override on a degenerate LP — drop them too.
+    #[test]
+    fn steepest_edge_carried_reduced_costs_match_fresh_pricing() {
+        let options = SimplexOptions {
+            refactor_interval: 8,
+            ..SimplexOptions::default()
+        };
+        let (mut audited, mut refactors) = (0, 0);
+        for seed in 0..12u64 {
+            let lp = random_packing_lp(seed, 40, 25);
+            let audit = audited_solve(&lp, &options);
+            audited += audit.audited;
+            refactors += audit.refactors;
+        }
+        assert!(
+            audited > 100 && refactors > 0,
+            "{audited} audits, {refactors} refactors"
+        );
+
+        // a stall threshold of 1 hands every pivot after a degenerate one to
+        // the Bland override
+        let options = SimplexOptions {
+            stall_threshold: 1,
+            ..options
+        };
+        let mut rng = StdRng::seed_from_u64(77);
+        let (mut chosen, mut other) = (0, 0);
+        for _ in 0..8 {
+            let mut lp = LinearProgram::new(Sense::Maximize);
+            for _ in 0..30 {
+                lp.add_variable(rng.random_range(1.0..2.0));
+            }
+            // edge constraints of a 30-cycle plus random chords
+            for k in 0..60 {
+                let (a, b) = if k < 30 {
+                    (k, (k + 1) % 30)
+                } else {
+                    (rng.random_range(0..30), rng.random_range(0..30))
+                };
+                if a != b {
+                    lp.add_constraint(vec![(a, 1.0), (b, 1.0)], Relation::Le, 1.0);
+                }
+            }
+            let audit = audited_solve(&lp, &options);
+            chosen += audit.chosen_pivots;
+            other += audit.other_pivots;
+        }
+        assert!(
+            chosen > 0 && other > 0,
+            "{chosen} chosen, {other} Bland pivots"
+        );
     }
 
     #[test]
